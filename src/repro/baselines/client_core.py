@@ -11,8 +11,8 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from repro.core.pruning import _candidate_pairs  # same pair semantics as Φ
-from repro.core.scorer import score_from_sum, score_np
+from repro.core.pruning import candidate_pairs  # same pair semantics as Φ
+from repro.core.scorer import score_from_sum, score_np, segment_bounds
 from repro.core.spec import CompareSpec, side_prefix
 
 
@@ -37,10 +37,17 @@ def _aligned(t1, t2):
     return v1[i1], v2[i2]
 
 
+def _pairs(spec: CompareSpec, trends1: dict, trends2: dict):
+    """Comparable (tid1, tid2) pairs, in the trends' order."""
+    l1, l2 = list(trends1), list(trends2)
+    ia, ib = candidate_pairs(spec, l1, l2)
+    return [(l1[i], l2[j]) for i, j in zip(ia, ib)]
+
+
 def score_all_pairs(spec: CompareSpec, trends1: dict, trends2: dict, gm_idx: int):
     """(tid1, tid2, gm_idx, score) for every comparable pair with matches."""
     rows = []
-    for a, b in _candidate_pairs(spec, list(trends1), list(trends2)):
+    for a, b in _pairs(spec, trends1, trends2):
         v1, v2 = _aligned(trends1[a], trends2[b])
         if v1.size == 0:
             continue
@@ -65,8 +72,8 @@ def topk_pairs(
     for gi, (t1s, t2s) in enumerate(per_gm):
         sums1 = {t: _summary(v) for t, v in t1s.items()}
         sums2 = sums1 if t1s is t2s else {t: _summary(v) for t, v in t2s.items()}
-        for a, b in _candidate_pairs(spec, list(t1s), list(t2s)):
-            lo, hi, cnt = _pair_bounds(spec, sums1[a], sums2[b], t1s[a], t2s[b])
+        for a, b in _pairs(spec, t1s, t2s):
+            lo, hi, cnt = _pair_bounds(spec, sums1[a], sums2[b])
             if cnt == 0:
                 continue
             cands.append([gi, a, b, lo, hi, cnt])
@@ -91,19 +98,17 @@ def _summary(t):
     return (len(v), float(v.sum()), float(v.min()), float(v.max()), k)
 
 
-def _pair_bounds(spec: CompareSpec, s1, s2, t1, t2):
-    n1, sum1, min1, max1, k1 = s1
-    n2, sum2, min2, max2, k2 = s2
+def _pair_bounds(spec: CompareSpec, s1, s2):
+    """Φp's bounds with one segment per trend, on the scorer's scale."""
+    *agg1, k1 = s1
+    *agg2, k2 = s2
     cnt = len(np.intersect1d(k1, k2, assume_unique=True))
     if cnt == 0:
         return 0.0, 0.0, 0
-    p = spec.scorer.p
-    gap = max(abs(max1 - min2), abs(max2 - min1))
-    ub = cnt * gap**p
-    lb = cnt * abs(sum1 / n1 - sum2 / n2) ** p if cnt == n1 == n2 else 0.0
+    lb, ub = segment_bounds(spec.scorer.p, cnt, agg1, agg2)
     return (
-        score_from_sum(spec.scorer, lb, cnt),
-        score_from_sum(spec.scorer, ub, cnt),
+        float(score_from_sum(spec.scorer, lb, cnt)),
+        float(score_from_sum(spec.scorer, ub, cnt)),
         cnt,
     )
 

@@ -77,6 +77,8 @@ def compare_topk(
     **phi_kwargs,
 ) -> DataFrame:
     """Top-k comparative query (§3.2), via exact sort or the Φp operator."""
+    if k <= 0:
+        raise ValueError(f"k must be positive, got {k}")
     if strategy in EXACT_STRATEGIES:
         return topk_exact(compare(df, spec, strategy, fds=fds), k, ascending)
     if strategy == "pruned":

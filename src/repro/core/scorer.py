@@ -56,13 +56,50 @@ def score_pair(scorer: Scorer, k1, v1, k2, v2) -> float:
     return score_np(scorer, a1, a2)
 
 
-def score_from_sum(scorer: Scorer, total: float, count: int) -> float:
-    """Convert a SUM-of-DIFF and matched count to the scorer's scale.
+def score_from_sum(scorer: Scorer, total, count):
+    """Convert SUM-of-DIFF totals and matched counts to the scorer's scale.
 
-    Used by the pruning operator, whose bounds are derived on SUM.
+    Used by the pruning operator, whose bounds are derived on SUM. Takes
+    scalars or arrays; AVG is NaN where nothing matched.
     """
     if scorer.agg == "SUM":
         return total
     if scorer.agg == "AVG":
-        return total / count if count else float("nan")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.divide(total, count)
     raise ValueError(f"pruning bounds only support SUM/AVG, got {scorer.agg}")
+
+
+def segment_diff_sums(p: int, v1, m1, v2, m2, starts) -> np.ndarray:
+    """Exact SUM OVER DIFF(p) per segment of row-aligned trend pairs.
+
+    Row ``r`` of ``v1``/``m1`` (values and key mask over a span of the
+    grouping domain) is compared with row ``r`` of ``v2``/``m2`` on the
+    keys both have; ``starts`` are the segments' first columns in the span.
+    """
+    return np.add.reduceat(np.where(m1 & m2, diff_np(v1, v2, p), 0.0), starts, axis=1)
+
+
+def segment_bounds(p: int, matched, s1, s2):
+    """Lower and upper bounds on SUM OVER DIFF(p) within segments (paper §5).
+
+    ``matched`` is the number of tuples the two trends match in each
+    segment; ``s1``/``s2`` are each trend's segment (COUNT, SUM, MIN, MAX).
+    All arguments broadcast, so one call bounds every pair × segment.
+
+    * upper: ``matched · max(|max1−min2|, |max2−min1|)^p`` (non-negativity
+      and monotonicity of DIFF), sound for any matched tuples;
+    * lower: ``matched · DIFF(avg1, avg2, p)`` (Theorem 1, convexity) where
+      the segment is fully matched on both sides, else 0.
+
+    Segments with nothing matched bound to 0.
+    """
+    n1, sum1, lo1, hi1 = s1
+    n2, sum2, lo2, hi2 = s2
+    some = matched > 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gap = np.maximum(np.abs(hi1 - lo2), np.abs(hi2 - lo1))
+        ub = np.where(some, matched * gap**p, 0.0)
+        full = some & (matched == n1) & (matched == n2)
+        lb = np.where(full, matched * np.abs(sum1 / n1 - sum2 / n2) ** p, 0.0)
+    return lb, ub

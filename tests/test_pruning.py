@@ -2,11 +2,10 @@
 top-k exactness across directions/parameters, and pruning effectiveness."""
 import math
 
-import numpy as np
 import pytest
 
 from repro.core.aggregates import clear_cache
-from repro.core.compare import compare, compare_topk, topk_exact
+from repro.core.compare import TOPK_STRATEGIES, compare, compare_topk, topk_exact
 from repro.core.pruning import PruneStats, compare_topk_pruned, sturges
 from repro.core.spec import Scorer
 
@@ -102,6 +101,25 @@ class TestTopkExactness:
             _exact_topk_scores(df, spec, 5, True)
         )
 
+    @pytest.mark.parametrize(
+        "strategy,k",
+        [(s, 0) for s in TOPK_STRATEGIES] + [("compare", -1), ("compare", 1000), ("pruned", 1000)],
+    )
+    def test_k_validation(self, request, strategy, k):
+        # k ≤ 0 is rejected everywhere; k beyond the pair count returns every pair
+        dataset, spec = CATALOG["q2"]
+        df = request.getfixturevalue(fixture_for(dataset))
+        if k <= 0:
+            with pytest.raises(ValueError, match="k must be positive"):
+                compare_topk(df, spec, k, strategy=strategy)
+            return
+        got = compare_topk(df, spec, k, strategy=strategy).toPandas()
+        exact = topk_exact(compare(df, spec, strategy="trendwise"), k).toPandas()
+        assert len(got) == len(exact) == 8 * 7 // 2
+        key = [c for c in exact.columns if c != "score"]
+        assert got[key].values.tolist() == exact[key].values.tolist()
+        assert got["score"].tolist() == pytest.approx(exact["score"].tolist())
+
     def test_minmax_scorer_rejected(self, request):
         dataset, spec = CATALOG["max_scorer"]
         df = request.getfixturevalue(fixture_for(dataset))
@@ -130,9 +148,6 @@ class TestBoundsSoundness:
 
     @pytest.mark.parametrize("name", ["q2", "manhattan", "tpcds_q1"])
     def test_bounds_contain_truth(self, request, name):
-        from repro.core.pruning import _Phi  # noqa: F401  (driver internals)
-        import repro.core.pruning as P
-
         dataset, spec = CATALOG[name]
         df = request.getfixturevalue(fixture_for(dataset))
         # huge k → nothing pruned → every pair refined to exactness;
@@ -148,38 +163,29 @@ class TestBoundsSoundness:
         )
 
     def test_initial_bounds_bracket_scores(self, request):
-        """Drive _bounds directly on the q2 fixture's summaries."""
+        """The production Summarize and Bound phases bracket every exact
+        score of the q2 fixture."""
         import repro.core.pruning as P
-        from repro.core.aggregates import build_side_aggregates, same_grouping_groups
-        import pandas as pd
+        from repro.core.aggregates import build_vector_blocks
 
         dataset, spec = CATALOG["q2"]
         df = request.getfixturevalue(fixture_for(dataset))
-        rels = build_side_aggregates(df, spec, same_grouping_groups(spec.gms))
-        gm = spec.gms[0]
-        rel = rels[(2, gm)]
-        gvals = sorted(r[0] for r in rel.select(P.G_COL).distinct().collect())
-        nd = len(gvals)
-        l = P.sturges(nd)
-        bucket_df = df.sparkSession.createDataFrame(
-            pd.DataFrame(
-                {
-                    P.G_COL: gvals,
-                    "__gi": np.arange(nd, dtype=np.int64),
-                    "__b": (np.arange(nd, dtype=np.int64) * l) // nd,
-                }
-            )
-        )
-        summ = P._collect_summaries(rel, spec.t2.vary_cols, bucket_df, l)
+        blocks = build_vector_blocks(df, spec)
+        segs = P._segments(df.sparkSession, blocks, None)
+        (blk,) = blocks
+        side = P.summarize(blk.rel2, spec.t2.vary_cols, blk, segs[blk.g])
+        pr = P._bound_pairs(spec, {spec.gms[0]: (side, side)}, segs)
+        lbs, ubs = pr.lb.sum(axis=1), pr.ub.sum(axis=1)
+        row = {(side.tids[a][0], side.tids[b][0]): r for r, (a, b) in enumerate(zip(pr.ia, pr.ib))}
         exact = {
             (r["l_airport"], r["r_airport"]): r["score"]
             for r in compare(df, spec, strategy="trendwise").collect()
         }
         checked = 0
-        for (a, b), score in exact.items():
-            buckets, inter, lbs, ubs = P._bounds(summ[(a,)], summ[(b,)], spec.scorer.p)
-            assert lbs.sum() <= score + 1e-6 * max(1, abs(score))
-            assert ubs.sum() >= score - 1e-6 * max(1, abs(score))
+        for pair, score in exact.items():
+            r = row[pair]
+            assert lbs[r] <= score + 1e-6 * max(1, abs(score))
+            assert ubs[r] >= score - 1e-6 * max(1, abs(score))
             checked += 1
         assert checked > 10
 

@@ -55,16 +55,14 @@ def test_pruned_topk_matches_exact(spark, seed, p, agg, asc, k):
     df.count()
     try:
         spec = _spec(p, agg)
-        exact = sorted(
-            round(s, 6)
-            for s in topk_exact(compare(df, spec, "trendwise"), k, asc).toPandas()["score"]
-        )
+        exact_pdf = topk_exact(compare(df, spec, "trendwise"), k, asc).toPandas()
+        exact = sorted(round(s, 6) for s in exact_pdf["score"])
+        key = [c for c in exact_pdf.columns if c != "score"]
         for kw in ({}, {"tuples_per_update": 3}, {"n_segments": 2}):
-            got = sorted(
-                round(s, 6)
-                for s in compare_topk_pruned(df, spec, k, ascending=asc, **kw)
-                .toPandas()["score"]
-            )
+            got_pdf = compare_topk_pruned(df, spec, k, ascending=asc, **kw).toPandas()
+            got = sorted(round(s, 6) for s in got_pdf["score"])
             assert got == pytest.approx(exact), f"kw={kw}"
+            # same pairs, in the same order (ties broken by pair identity)
+            assert got_pdf[key].values.tolist() == exact_pdf[key].values.tolist(), f"kw={kw}"
     finally:
         df.unpersist()
