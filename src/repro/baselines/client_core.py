@@ -12,12 +12,17 @@ import numpy as np
 import pandas as pd
 
 from repro.core.pruning import candidate_pairs  # same pair semantics as Φ
-from repro.core.scorer import score_from_sum, score_np, segment_bounds
-from repro.core.spec import CompareSpec, side_prefix
+from repro.core.scorer import align, score_from_sum, score_np, segment_bounds
+from repro.core.spec import CompareSpec, output_cols, output_row
 
 
 def group_trends(pdf: pd.DataFrame, vary_cols, gcol: str, vcol: str):
-    """Partition an aggregated frame into per-trend (keys, vals) vectors."""
+    """Partition an aggregated frame into per-trend (keys, vals) vectors.
+
+    NULL cells are dropped: a NULL DIFF is skipped by the score, and the
+    summary bounds need finite values.
+    """
+    pdf = pdf[pdf[vcol].notna()]
     out = {}
     if not vary_cols:
         s = pdf.sort_values(gcol)
@@ -30,11 +35,10 @@ def group_trends(pdf: pd.DataFrame, vary_cols, gcol: str, vcol: str):
     return out
 
 
-def _aligned(t1, t2):
-    k1, v1 = t1
-    k2, v2 = t2
-    _, i1, i2 = np.intersect1d(k1, k2, assume_unique=True, return_indices=True)
-    return v1[i1], v2[i2]
+def _score(spec: CompareSpec, t1, t2) -> float:
+    (k1, v1), (k2, v2) = t1, t2
+    i1, i2 = align(k1, k2)
+    return score_np(spec.scorer, v1[i1], v2[i2])
 
 
 def _pairs(spec: CompareSpec, trends1: dict, trends2: dict):
@@ -48,10 +52,9 @@ def score_all_pairs(spec: CompareSpec, trends1: dict, trends2: dict, gm_idx: int
     """(tid1, tid2, gm_idx, score) for every comparable pair with matches."""
     rows = []
     for a, b in _pairs(spec, trends1, trends2):
-        v1, v2 = _aligned(trends1[a], trends2[b])
-        if v1.size == 0:
-            continue
-        rows.append((a, b, gm_idx, score_np(spec.scorer, v1, v2)))
+        score = _score(spec, trends1[a], trends2[b])
+        if not np.isnan(score):
+            rows.append((a, b, gm_idx, score))
     return rows
 
 
@@ -87,8 +90,7 @@ def topk_pairs(
     scored = []
     for gi, a, b, _, _, _ in cands:
         t1s, t2s = per_gm[gi]
-        v1, v2 = _aligned(t1s[a], t2s[b])
-        scored.append((a, b, gi, score_np(spec.scorer, v1, v2)))
+        scored.append((a, b, gi, _score(spec, t1s[a], t2s[b])))
     scored.sort(key=lambda r: (r[3] if ascending else -r[3], r[0], r[1], r[2]))
     return scored[:k]
 
@@ -102,7 +104,7 @@ def _pair_bounds(spec: CompareSpec, s1, s2):
     """Φp's bounds with one segment per trend, on the scorer's scale."""
     *agg1, k1 = s1
     *agg2, k2 = s2
-    cnt = len(np.intersect1d(k1, k2, assume_unique=True))
+    cnt = len(align(k1, k2)[0])
     if cnt == 0:
         return 0.0, 0.0, 0
     lb, ub = segment_bounds(spec.scorer.p, cnt, agg1, agg2)
@@ -113,22 +115,13 @@ def _pair_bounds(spec: CompareSpec, s1, s2):
     )
 
 
-def rows_to_frame(spec: CompareSpec, rows, out_cols: list[str]) -> pd.DataFrame:
-    """(tid1, tid2, gm_idx, score) rows → the canonical output frame."""
-    recs = []
-    for a, b, gi, score in rows:
-        g, m = spec.gms[gi]
-        rec = {}
-        for c, v in zip(spec.t1.vary_cols, a):
-            rec[side_prefix(1) + c] = v
-        for t in spec.t1.fixed:
-            rec[side_prefix(1) + t.col] = t.value
-        for c, v in zip(spec.t2.vary_cols, b):
-            rec[side_prefix(2) + c] = v
-        for t in spec.t2.fixed:
-            rec[side_prefix(2) + t.col] = t.value
-        rec["grouping"] = g
-        rec["measure"] = m.name
-        rec["score"] = score
-        recs.append(rec)
-    return pd.DataFrame(recs, columns=out_cols)
+def compare_trends(spec: CompareSpec, per_gm: list[tuple[dict, dict]], k: int | None,
+                   ascending: bool) -> pd.DataFrame:
+    """Every comparable pair's scores (``k=None``) or the top-k, as the
+    canonical output frame. ``per_gm[i]`` holds ``spec.gms[i]``'s trends."""
+    if k is None:
+        rows = [r for gi, (t1, t2) in enumerate(per_gm) for r in score_all_pairs(spec, t1, t2, gi)]
+    else:
+        rows = topk_pairs(spec, per_gm, k, ascending)
+    return pd.DataFrame([output_row(spec, a, b, spec.gms[gi], score) for a, b, gi, score in rows],
+                        columns=output_cols(spec))

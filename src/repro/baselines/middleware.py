@@ -18,8 +18,8 @@ import time
 import pandas as pd
 from pyspark.sql import DataFrame
 
-from repro.core.aggregates import G_COL, V_COL, build_side_aggregates, same_grouping_groups
-from repro.core.spec import CompareSpec, output_cols
+from repro.core.aggregates import G_COL, V_COL, build_vector_blocks
+from repro.core.spec import CompareSpec
 
 from . import client_core as cc
 
@@ -44,29 +44,19 @@ def compare_middleware(
 ):
     """COMPARE computed in a middleware client. Returns a pandas frame
     (the result lives client-side), optionally with total bytes moved."""
-    rels = build_side_aggregates(
-        df, spec, same_grouping_groups(spec.gms), share_sides=True, persist_merged=False
-    )
+    blocks = build_vector_blocks(df, spec, persist=False)
     total_bytes = 0
-    fetched: dict[int, pd.DataFrame] = {}
-    per_gm = []
-    for gi, gm in enumerate(spec.gms):
-        r1, r2 = rels[(1, gm)], rels[(2, gm)]
-        p2, b2 = _fetch(r2, bandwidth_mbps)
-        total_bytes += b2
-        if r1 is r2:
-            p1 = p2
-        else:
-            p1, b1 = _fetch(r1, bandwidth_mbps)
-            total_bytes += b1
-        t1 = cc.group_trends(p1, spec.t1.vary_cols, G_COL, V_COL)
-        t2 = cc.group_trends(p2, spec.t2.vary_cols, G_COL, V_COL)
-        per_gm.append((t1, t2))
-    if k is None:
-        rows = []
-        for gi, (t1, t2) in enumerate(per_gm):
-            rows.extend(cc.score_all_pairs(spec, t1, t2, gi))
-    else:
-        rows = cc.topk_pairs(spec, per_gm, k, ascending)
-    out = cc.rows_to_frame(spec, rows, output_cols(spec))
+    trends: dict = {}
+    for blk in blocks:
+        for gm in blk.value_cols:
+            p2, b2 = _fetch(blk.project(2, gm), bandwidth_mbps)
+            total_bytes += b2
+            if blk.shared:
+                p1 = p2
+            else:
+                p1, b1 = _fetch(blk.project(1, gm), bandwidth_mbps)
+                total_bytes += b1
+            trends[gm] = (cc.group_trends(p1, spec.t1.vary_cols, G_COL, V_COL),
+                          cc.group_trends(p2, spec.t2.vary_cols, G_COL, V_COL))
+    out = cc.compare_trends(spec, [trends[gm] for gm in spec.gms], k, ascending)
     return (out, total_bytes) if return_bytes else out

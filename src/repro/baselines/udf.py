@@ -16,18 +16,16 @@ import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.core.aggregates import G_COL, V_COL, build_side_aggregates, same_grouping_groups
-from repro.core.pruning import _output_schema
-from repro.core.spec import CompareSpec, output_cols
+from repro.core.aggregates import G_COL, V_COL, build_vector_blocks
+from repro.core.spec import CompareSpec, output_schema
 
 from . import client_core as cc
 
 
-def _tagged_union(df: DataFrame, spec: CompareSpec) -> tuple[DataFrame, list[str]]:
+def _tagged_union(df: DataFrame, spec: CompareSpec) -> DataFrame:
     """UNION of all (side, gm) aggregates — the UDF's GROUPING SETS input."""
-    rels = build_side_aggregates(
-        df, spec, same_grouping_groups(spec.gms), share_sides=True, persist_merged=False
-    )
+    blocks = build_vector_blocks(df, spec, persist=False)
+    block_of = {gm: b for b in blocks for gm in b.value_cols}
     all_vary: list[str] = []
     for ts in (spec.t1, spec.t2):
         for c in ts.vary_cols:
@@ -37,7 +35,7 @@ def _tagged_union(df: DataFrame, spec: CompareSpec) -> tuple[DataFrame, list[str
     parts = []
     for side, ts in ((1, spec.t1), (2, spec.t2)):
         for i, gm in enumerate(spec.gms):
-            rel = rels[(side, gm)]
+            rel = block_of[gm].project(side, gm)
             sel = [F.lit(side).alias("__side"), F.lit(i).alias("__gm")]
             for c in all_vary:
                 if c in ts.vary_cols:
@@ -49,12 +47,10 @@ def _tagged_union(df: DataFrame, spec: CompareSpec) -> tuple[DataFrame, list[str
     out = parts[0]
     for p in parts[1:]:
         out = out.unionByName(p)
-    return out, all_vary
+    return out
 
 
-def _make_udf(spec: CompareSpec, all_vary: list[str], k: int | None, ascending: bool):
-    cols = output_cols(spec)
-
+def _make_udf(spec: CompareSpec, k: int | None, ascending: bool):
     def fn(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         chunks = [b for b in batches if not b.empty]
         if not chunks:
@@ -70,13 +66,7 @@ def _make_udf(spec: CompareSpec, all_vary: list[str], k: int | None, ascending: 
                 part[part["__side"] == 2], spec.t2.vary_cols, "__gs", V_COL
             )
             per_gm.append((t1, t2))
-        if k is None:
-            rows = []
-            for gi, (t1, t2) in enumerate(per_gm):
-                rows.extend(cc.score_all_pairs(spec, t1, t2, gi))
-        else:
-            rows = cc.topk_pairs(spec, per_gm, k, ascending)
-        yield cc.rows_to_frame(spec, rows, cols)
+        yield cc.compare_trends(spec, per_gm, k, ascending)
 
     return fn
 
@@ -89,8 +79,6 @@ def compare_udf(
     ascending: bool = True,
 ) -> DataFrame:
     """COMPARE via the sequential UDF baseline (all pairs, or top-k)."""
-    union, all_vary = _tagged_union(df, spec)
-    schema = _output_schema(df, spec)
-    return union.repartition(1).mapInPandas(
-        _make_udf(spec, all_vary, k, ascending), schema
+    return _tagged_union(df, spec).repartition(1).mapInPandas(
+        _make_udf(spec, k, ascending), output_schema(spec, df.schema)
     )

@@ -1,22 +1,30 @@
 """Group-by aggregation layer for COMPARE (paper §4.1 step 1 and §4.2 merging).
 
-Each trendset side needs, per (grouping, measure), an aggregated
-relation with schema ``(vary constraint cols…, __g, __v)`` — one row
-per (trend, grouping value). This module builds those relations three
-ways:
+Every strategy reads the base relation through :func:`build_vector_blocks`.
+Per trendset side it builds one *block* relation
+``(vary constraint cols…, __g, __m0, __m1, …)`` per (merge group,
+grouping column): one row per (trend, grouping value), one value column
+per measure. The merge groups choose the plan:
 
-* one group-by per (g, m) (the basic plan),
-* *merged*: a single group-by per :class:`MergeGroup` computing partial
-  aggregates over the union of grouping columns, then a cheap re-aggregate
-  per (g, m) (§4.2 "Merging group-by aggregates", steps 1–4 of the
-  merged sub-plan),
-* *shared across sides*: when trendset T1 is a fixed-value slice of T2
-  (e.g. ``airport='SFO' <-> airport``), T1's aggregate is derived by
-  filtering T2's instead of re-scanning the base relation.
+* :func:`single_groups` — one single-measure group-by per (g, m), the
+  basic plan of §4.1;
+* :func:`same_grouping_groups` or Algorithm-1 groups — *merged*: a
+  :class:`MergeGroup` over one grouping column computes all its measures
+  in one group-by; one spanning several grouping columns computes partial
+  aggregates over their union, then a cheap re-aggregate per grouping
+  (§4.2 "Merging group-by aggregates", steps 1–4 of the merged sub-plan).
 
-Merged relations are persisted (Spark does not share work between the
-re-aggregates otherwise); handles are tracked in :data:`PERSISTED` and
-released via :func:`clear_cache`.
+With ``share_sides``, when trendset T1 is a fixed-value slice of T2
+(e.g. ``airport='SFO' <-> airport``), T1's blocks are derived by
+filtering T2's instead of re-scanning the base relation.
+
+A per-(g, m) relation ``(vary…, __g, __v)``, the input of the join-based
+plans and the client baselines, is a projection of its block
+(:meth:`VectorBlock.project`).
+
+Cross-grouping partials (and, with ``persist``, the blocks) are
+persisted; handles are tracked in :data:`PERSISTED` and released via
+:func:`clear_cache`.
 """
 from __future__ import annotations
 
@@ -30,12 +38,12 @@ from .spec import GM, CompareSpec, Measure, TrendsetSpec
 G_COL = "__g"
 V_COL = "__v"
 
-#: DataFrames persisted by merged-aggregate plans; release with clear_cache().
+#: DataFrames persisted by block plans; release with clear_cache().
 PERSISTED: list[DataFrame] = []
 
 
 def clear_cache() -> None:
-    """Unpersist every intermediate cached by merged-aggregate plans."""
+    """Unpersist every intermediate cached by block plans."""
     while PERSISTED:
         PERSISTED.pop().unpersist()
 
@@ -123,56 +131,10 @@ def _direct_expr(m: Measure):
     return fn(m.col).cast("double")
 
 
-def aggregate_trendset(
-    df: DataFrame,
-    ts: TrendsetSpec,
-    groups: list[MergeGroup],
-    *,
-    persist_merged: bool = True,
-) -> dict[GM, DataFrame]:
-    """Aggregated relation per (g, m) for one trendset side.
-
-    Output schema per (g, m): ``(*ts.vary_cols, __g, __v)``.
-    """
-    out: dict[GM, DataFrame] = {}
-    base = filtered(df, ts)
-    vary = list(ts.vary_cols)
-    for grp in groups:
-        if len(grp.groupings) == 1:
-            # No cross-grouping merge: compute every measure in one pass,
-            # no re-aggregation needed.
-            g = grp.groupings[0]
-            rel = base.groupBy(*vary, g).agg(
-                *[_direct_expr(m).alias(f"__v{i}") for i, m in enumerate(grp.measures)]
-            )
-            if persist_merged and len(grp.measures) > 1:
-                rel = rel.persist()
-                PERSISTED.append(rel)
-            for gm in grp.gms:
-                i = grp.measures.index(gm[1])
-                out[gm] = rel.select(
-                    *vary, F.col(g).alias(G_COL), F.col(f"__v{i}").alias(V_COL)
-                )
-        else:
-            # Cross-grouping merge (§4.2 step 1): partial aggregates over the
-            # union of grouping columns, then re-aggregate per (g, m) (step 4).
-            exprs, names = _partial_exprs(grp.measures)
-            partial = base.groupBy(*vary, *grp.groupings).agg(*exprs)
-            if persist_merged:
-                partial = partial.persist()
-                PERSISTED.append(partial)
-            for g, m in grp.gms:
-                out[(g, m)] = (
-                    partial.groupBy(*vary, g)
-                    .agg(_refinal_expr(m, names).alias(V_COL))
-                    .withColumnRenamed(g, G_COL)
-                )
-    return out
-
-
 @dataclass
 class VectorBlock:
-    """All measures that share one grouping column, as one relation.
+    """The measures of one merge group that share a grouping column, as
+    one relation.
 
     This is the §4.2 sharing taken to the physical layer: every (g, m)
     with the same grouping ``g`` (after Algorithm-1 merging) is served
@@ -182,11 +144,16 @@ class VectorBlock:
     """
 
     g: str
-    gms: tuple[GM, ...]
     value_cols: dict  # gm -> value column name in rel1/rel2
     rel1: DataFrame
     rel2: DataFrame
     shared: bool  # rel1 is rel2
+
+    def project(self, side: int, gm: GM) -> DataFrame:
+        """One (g, m)'s relation ``(vary…, __g, __v)`` of a side."""
+        rel = self.rel1 if side == 1 else self.rel2
+        keys = [c for c in rel.columns if c not in self.value_cols.values()]
+        return rel.select(*keys, F.col(self.value_cols[gm]).alias(V_COL))
 
 
 def _block_rels_for_side(df: DataFrame, ts: TrendsetSpec, groups: list[MergeGroup]):
@@ -225,7 +192,12 @@ def build_vector_blocks(
     share_sides: bool = True,
     persist: bool = True,
 ) -> list[VectorBlock]:
-    """Block relations for both sides (T1 reuses T2's when possible)."""
+    """Block relations for both sides, in ``groups`` order.
+
+    ``groups`` defaults to :func:`same_grouping_groups`. ``share_sides``
+    lets T1 reuse T2's blocks (identical trendsets, or T1 a slice of T2);
+    ``persist`` caches every block for the several passes that read it.
+    """
     groups = groups if groups is not None else same_grouping_groups(spec.gms)
     side2 = _block_rels_for_side(df, spec.t2, groups)
     slice_f = _slice_filters(spec) if share_sides else None
@@ -256,7 +228,6 @@ def build_vector_blocks(
         blocks.append(
             VectorBlock(
                 g=key[1],
-                gms=tuple(cols),
                 value_cols=cols,
                 rel1=rel1,
                 rel2=rel2,
@@ -287,40 +258,3 @@ def _slice_filters(spec: CompareSpec) -> dict[str, object] | None:
         else:
             return None
     return filters
-
-
-def build_side_aggregates(
-    df: DataFrame,
-    spec: CompareSpec,
-    groups: list[MergeGroup] | None = None,
-    *,
-    share_sides: bool = True,
-    persist_merged: bool = True,
-) -> dict[tuple[int, GM], DataFrame]:
-    """Aggregated relations for both sides, keyed by (side, (g, m)).
-
-    ``share_sides`` reuses T2's aggregates for T1 when T1 is a slice of
-    T2 (and trivially when the trendsets are identical).
-    """
-    groups = groups if groups is not None else single_groups(spec.gms)
-    out: dict[tuple[int, GM], DataFrame] = {}
-    side2 = aggregate_trendset(df, spec.t2, groups, persist_merged=persist_merged)
-    for gm, rel in side2.items():
-        out[(2, gm)] = rel
-    slice_filters = _slice_filters(spec) if share_sides else None
-    if share_sides and spec.same_trendsets:
-        for gm, rel in side2.items():
-            out[(1, gm)] = rel
-    elif slice_filters is not None:
-        for gm, rel in side2.items():
-            derived = rel
-            for c, v in slice_filters.items():
-                derived = derived.filter(F.col(c) == F.lit(v))
-            # T1 does not vary over the sliced columns: drop them.
-            derived = derived.drop(*[c for c in slice_filters if c not in spec.t1.vary_cols])
-            out[(1, gm)] = derived
-    else:
-        side1 = aggregate_trendset(df, spec.t1, groups, persist_merged=persist_merged)
-        for gm, rel in side1.items():
-            out[(1, gm)] = rel
-    return out

@@ -18,14 +18,7 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from . import scorer as sc
-from .aggregates import (
-    G_COL,
-    V_COL,
-    MergeGroup,
-    build_side_aggregates,
-    same_grouping_groups,
-    single_groups,
-)
+from .aggregates import G_COL, V_COL, MergeGroup, VectorBlock, build_vector_blocks, single_groups
 from .pairs import finish_output, pair_condition, pair_key_cols, rename_side
 from .spec import CompareSpec, output_cols
 
@@ -51,34 +44,23 @@ def _score_gm(spec: CompareSpec, gm, rel1: DataFrame, rel2: DataFrame) -> DataFr
     return finish_output(scored, spec, gm).select(*output_cols(spec))
 
 
-def compare_with_groups(
-    df: DataFrame,
-    spec: CompareSpec,
-    groups: list[MergeGroup],
-    *,
-    share_sides: bool,
-    persist_merged: bool,
-) -> DataFrame:
-    """Trendset-level join plan over a given aggregate grouping."""
-    rels = build_side_aggregates(
-        df, spec, groups, share_sides=share_sides, persist_merged=persist_merged
-    )
-    parts = [_score_gm(spec, gm, rels[(1, gm)], rels[(2, gm)]) for gm in spec.gms]
+def _join_blocks(spec: CompareSpec, blocks: list[VectorBlock]) -> DataFrame:
+    """Trendset-level join plan over each (g, m)'s projection of its block."""
+    parts = [_score_gm(spec, gm, b.project(1, gm), b.project(2, gm))
+             for b in blocks for gm in b.value_cols]
     return reduce(DataFrame.unionByName, parts)
 
 
 def compare_basic(df: DataFrame, spec: CompareSpec) -> DataFrame:
     """§4.1 basic plan: no aggregate sharing, trendset-level joins."""
-    return compare_with_groups(
-        df, spec, single_groups(spec.gms), share_sides=False, persist_merged=False
+    blocks = build_vector_blocks(
+        df, spec, single_groups(spec.gms), share_sides=False, persist=False
     )
+    return _join_blocks(spec, blocks)
 
 
 def compare_merged(
     df: DataFrame, spec: CompareSpec, groups: list[MergeGroup] | None = None
 ) -> DataFrame:
     """Basic join topology over merged/shared group-by aggregates."""
-    groups = groups if groups is not None else same_grouping_groups(spec.gms)
-    return compare_with_groups(
-        df, spec, groups, share_sides=True, persist_merged=True
-    )
+    return _join_blocks(spec, build_vector_blocks(df, spec, groups))

@@ -50,11 +50,10 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
-from pyspark.sql import types as T
 
-from .aggregates import G_COL, MergeGroup, VectorBlock, build_vector_blocks, same_grouping_groups
+from .aggregates import G_COL, MergeGroup, VectorBlock, build_vector_blocks
 from .scorer import score_from_sum, segment_bounds, segment_diff_sums
-from .spec import CompareSpec, output_cols, side_prefix
+from .spec import CompareSpec, output_row, output_schema
 
 #: most values gathered per side at once when refining (bounds driver memory)
 _GATHER = 1 << 16
@@ -477,7 +476,6 @@ def compare_topk_pruned(
     tuples_per_update: int | None = None,
     early_termination: bool = True,
     groups: list[MergeGroup] | None = None,
-    share_sides: bool = True,
     return_stats: bool = False,
 ):
     """Top-k comparative query through the Φp pruning operator.
@@ -495,10 +493,9 @@ def compare_topk_pruned(
             f"for {spec.scorer.agg}"
         )
     spark = df.sparkSession
-    groups = groups if groups is not None else same_grouping_groups(spec.gms)
     # Block-organized aggregates (§4.2 sharing): one relation per grouping
     # column carrying every measure, persisted for the phases below.
-    blocks = build_vector_blocks(df, spec, groups, share_sides=share_sides)
+    blocks = build_vector_blocks(df, spec, groups)
     segs = _segments(spark, blocks, n_segments)
     stats = PruneStats()
 
@@ -551,36 +548,9 @@ def compare_topk_pruned(
     # ---- build the output relation ----------------------------------------
     rows = []
     for q in results:
-        g, m = spec.gms[pr.gm[q]]
-        s1, s2 = sides[(g, m)]
-        row = {}
-        for c, v in zip(spec.t1.vary_cols, s1.tids[pr.ia[q]]):
-            row[side_prefix(1) + c] = v
-        for t in spec.t1.fixed:
-            row[side_prefix(1) + t.col] = t.value
-        for c, v in zip(spec.t2.vary_cols, s2.tids[pr.ib[q]]):
-            row[side_prefix(2) + c] = v
-        for t in spec.t2.fixed:
-            row[side_prefix(2) + t.col] = t.value
-        row["grouping"] = g
-        row["measure"] = m.name
-        row["score"] = float(score_from_sum(spec.scorer, phi.lb_sum[q], pr.cnt[q]))
-        rows.append(row)
-
-    schema = _output_schema(df, spec)
-    out = spark.createDataFrame([tuple(r[c] for c in output_cols(spec)) for r in rows], schema)
+        gm = spec.gms[pr.gm[q]]
+        s1, s2 = sides[gm]
+        score = float(score_from_sum(spec.scorer, phi.lb_sum[q], pr.cnt[q]))
+        rows.append(output_row(spec, s1.tids[pr.ia[q]], s2.tids[pr.ib[q]], gm, score))
+    out = spark.createDataFrame(rows, output_schema(spec, df.schema))
     return (out, stats) if return_stats else out
-
-
-def _output_schema(df: DataFrame, spec: CompareSpec) -> T.StructType:
-    by_name = {f.name: f.dataType for f in df.schema.fields}
-    fields = []
-    for side, ts in ((1, spec.t1), (2, spec.t2)):
-        for t in ts.terms:
-            fields.append(T.StructField(side_prefix(side) + t.col, by_name[t.col]))
-    fields += [
-        T.StructField("grouping", T.StringType()),
-        T.StructField("measure", T.StringType()),
-        T.StructField("score", T.DoubleType()),
-    ]
-    return T.StructType(fields)

@@ -30,30 +30,34 @@ def diff_np(v1: np.ndarray, v2: np.ndarray, p: int) -> np.ndarray:
     return d * d if p == 2 else d**p
 
 
+_AGG_NP = {"SUM": np.sum, "AVG": np.mean, "MIN": np.min, "MAX": np.max}
+
+
 def score_np(scorer: Scorer, v1: np.ndarray, v2: np.ndarray) -> float:
-    """Score two *aligned* measure vectors. NaN when nothing matches."""
-    if v1.size == 0:
+    """Score two *aligned* measure vectors over the cells where both are
+    non-NULL (NaN), as SQL aggregates skip NULL DIFFs. NaN when none are."""
+    both = ~(np.isnan(v1) | np.isnan(v2))
+    if not both.any():
         return float("nan")
-    d = diff_np(v1, v2, scorer.p)
-    fn = {"SUM": np.sum, "AVG": np.mean, "MIN": np.min, "MAX": np.max}[scorer.agg]
-    return float(fn(d))
+    return float(_AGG_NP[scorer.agg](diff_np(v1[both], v2[both], scorer.p)))
 
 
-def align(k1: np.ndarray, v1: np.ndarray, k2: np.ndarray, v2: np.ndarray):
-    """Inner-join two (sorted, unique) key/value vectors on key.
+def align(k1: np.ndarray, k2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inner-join two (sorted, unique) key vectors (Def. 7's join on
+    grouping value): index arrays ``i1``, ``i2`` with ``k1[i1] == k2[i2]``.
 
-    Tuples with non-matching grouping values are ignored (Def. 7).
-    Returns the aligned value vectors.
+    Tuples with non-matching grouping values are ignored. One alignment
+    serves every measure vector keyed by ``k1``/``k2``.
     """
     _, i1, i2 = np.intersect1d(k1, k2, assume_unique=True, return_indices=True)
-    return v1[i1], v2[i2]
+    return i1, i2
 
 
 def score_pair(scorer: Scorer, k1, v1, k2, v2) -> float:
     """Align two trends on grouping value and score them."""
-    a1, a2 = align(np.asarray(k1), np.asarray(v1, dtype=np.float64),
-                   np.asarray(k2), np.asarray(v2, dtype=np.float64))
-    return score_np(scorer, a1, a2)
+    i1, i2 = align(np.asarray(k1), np.asarray(k2))
+    return score_np(scorer, np.asarray(v1, dtype=np.float64)[i1],
+                    np.asarray(v2, dtype=np.float64)[i2])
 
 
 def score_from_sum(scorer: Scorer, total, count):

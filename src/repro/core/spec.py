@@ -17,6 +17,8 @@ import re
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
+from pyspark.sql import types as T
+
 _VALID_MEASURE_AGGS = ("AVG", "SUM", "MIN", "MAX", "COUNT")
 _VALID_SCORER_AGGS = ("SUM", "AVG", "MIN", "MAX")
 
@@ -214,6 +216,31 @@ def output_constraint_cols(spec: CompareSpec) -> list[str]:
 
 def output_cols(spec: CompareSpec) -> list[str]:
     return output_constraint_cols(spec) + ["grouping", "measure", "score"]
+
+
+def output_row(spec: CompareSpec, tid1: tuple, tid2: tuple, gm: GM, score: float) -> tuple:
+    """One output row, in :func:`output_cols` order, for the trends whose
+    vary-column values are ``tid1``/``tid2``, scored on ``gm``."""
+    row: list = []
+    for ts, tid in ((spec.t1, tid1), (spec.t2, tid2)):
+        vary = dict(zip(ts.vary_cols, tid))
+        row += [vary[t.col] if t.varies else t.value for t in ts.terms]
+    return (*row, gm[0], gm[1].name, score)
+
+
+def output_schema(spec: CompareSpec, input_schema: T.StructType) -> T.StructType:
+    """Spark schema of :func:`output_row` rows, typed from the base relation's."""
+    by_name = {f.name: f.dataType for f in input_schema.fields}
+    fields = [
+        T.StructField(side_prefix(side) + t.col, by_name[t.col])
+        for side, ts in ((1, spec.t1), (2, spec.t2))
+        for t in ts.terms
+    ]
+    return T.StructType(fields + [
+        T.StructField("grouping", T.StringType()),
+        T.StructField("measure", T.StringType()),
+        T.StructField("score", T.DoubleType()),
+    ])
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from .aggregates import (
     build_vector_blocks,
 )
 from .pairs import pair_condition, pair_key_cols, rename_side
+from .scorer import align, score_np
 from .spec import CompareSpec, Scorer, output_cols, side_prefix
 
 KEYS1, KEYS2 = "__k1", "__k2"
@@ -70,18 +71,13 @@ def _make_block_scorer(scorer: Scorer, block_gms, value_names, out_fields: list[
             v2s = [pdf["__r" + vc].to_numpy() for vc in value_names]
             scores = np.full((n, len(value_names)), np.nan)
             for i in range(n):
-                k1 = np.asarray(k1s[i])
-                k2 = np.asarray(k2s[i])
-                _, i1, i2 = np.intersect1d(k1, k2, assume_unique=True, return_indices=True)
-                if i1.size == 0:
-                    continue
+                i1, i2 = align(np.asarray(k1s[i]), np.asarray(k2s[i]))
                 for j in range(len(value_names)):
-                    a = np.asarray(v1s[j][i], dtype=np.float64)[i1]
-                    b = np.asarray(v2s[j][i], dtype=np.float64)[i2]
-                    d = np.abs(a - b)
-                    d = d * d if scorer.p == 2 else d**scorer.p
-                    agg = {"SUM": np.sum, "AVG": np.mean, "MIN": np.min, "MAX": np.max}[scorer.agg]
-                    scores[i, j] = float(agg(d))
+                    scores[i, j] = score_np(
+                        scorer,
+                        np.asarray(v1s[j][i], dtype=np.float64)[i1],
+                        np.asarray(v2s[j][i], dtype=np.float64)[i2],
+                    )
             key_cols = [c for c in out_fields if c not in ("grouping", "measure", "score")]
             outs = []
             for j, (g, mname) in enumerate(gm_labels):
@@ -126,7 +122,6 @@ def compare_trendwise(
     spec: CompareSpec,
     groups: list[MergeGroup] | None = None,
     *,
-    share_sides: bool = True,
     pair_filter: DataFrame | None = None,
 ) -> DataFrame:
     """Merged aggregates + trendwise partitioned comparison.
@@ -136,7 +131,7 @@ def compare_trendwise(
     operations (§6 R4) so later, less selective stages only score pairs
     that survived earlier stages.
     """
-    blocks = build_vector_blocks(df, spec, groups, share_sides=share_sides)
+    blocks = build_vector_blocks(df, spec, groups)
     parts = [_score_block(b, spec, pair_filter) for b in blocks]
     out = reduce(DataFrame.unionByName, parts)
     for side, ts in ((1, spec.t1), (2, spec.t2)):

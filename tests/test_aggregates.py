@@ -1,4 +1,8 @@
-"""Aggregation layer: merge groups, side sharing, slice derivation (§4.2)."""
+"""Aggregation layer: merge groups, side sharing, slice derivation (§4.2).
+
+Every relation is read through ``build_vector_blocks``, the one builder
+of aggregates; a per-(g, m) relation is its block's projection.
+"""
 import pytest
 from pyspark.sql import functions as F
 
@@ -7,8 +11,7 @@ from repro.core.aggregates import (
     V_COL,
     MergeGroup,
     _slice_filters,
-    aggregate_trendset,
-    build_side_aggregates,
+    build_vector_blocks,
     clear_cache,
     same_grouping_groups,
     single_groups,
@@ -21,6 +24,14 @@ def ts(*terms):
 
 
 GM = lambda g, m, a="AVG": (g, Measure(a, m))
+
+
+def side_rel(df, trendset, groups, gm):
+    """``gm``'s relation ``(vary…, __g, __v)`` for one trendset, built by
+    the block layer over ``groups``."""
+    spec = CompareSpec(trendset, trendset, tuple(x for grp in groups for x in grp.gms))
+    blk = next(b for b in build_vector_blocks(df, spec, groups) if gm in b.value_cols)
+    return blk.project(2, gm)
 
 
 @pytest.fixture(autouse=True)
@@ -73,10 +84,8 @@ class TestSliceDetection:
 
 class TestAggregation:
     def test_direct_aggregate_matches_groupby(self, flight_df):
-        rels = aggregate_trendset(
-            flight_df, ts(("airport",)), single_groups((GM("day", "arr_delay"),))
-        )
-        rel = rels[GM("day", "arr_delay")]
+        gm = GM("day", "arr_delay")
+        rel = side_rel(flight_df, ts(("airport",)), single_groups((gm,)), gm)
         exp = (
             flight_df.groupBy("airport", "day")
             .agg(F.avg("arr_delay").alias(V_COL))
@@ -89,39 +98,31 @@ class TestAggregation:
     def test_cross_grouping_reaggregation_avg_exact(self, flight_df):
         """AVG re-derived from (sum, count) partials must be exact, not an
         average of averages."""
-        merged = aggregate_trendset(
-            flight_df,
-            ts(("airport",)),
-            [MergeGroup((GM("day", "arr_delay"), GM("week", "arr_delay")))],
+        week = GM("week", "arr_delay")
+        merged = side_rel(
+            flight_df, ts(("airport",)), [MergeGroup((GM("day", "arr_delay"), week))], week
         )
-        direct = aggregate_trendset(
-            flight_df, ts(("airport",)), single_groups((GM("week", "arr_delay"),))
-        )
+        direct = side_rel(flight_df, ts(("airport",)), single_groups((week,)), week)
         key = ["airport", G_COL]
-        a = merged[GM("week", "arr_delay")].toPandas().sort_values(key).reset_index(drop=True)
-        b = direct[GM("week", "arr_delay")].toPandas().sort_values(key).reset_index(drop=True)
+        a = merged.toPandas().sort_values(key).reset_index(drop=True)
+        b = direct.toPandas().sort_values(key).reset_index(drop=True)
         assert a[V_COL].round(8).tolist() == b[V_COL].round(8).tolist()
 
     @pytest.mark.parametrize("agg", ["SUM", "MIN", "MAX", "COUNT"])
     def test_cross_grouping_reaggregation_other_aggs(self, flight_df, agg):
-        merged = aggregate_trendset(
-            flight_df,
-            ts(("airport",)),
-            [MergeGroup((GM("day", "arr_delay", agg), GM("week", "arr_delay", agg)))],
+        week = GM("week", "arr_delay", agg)
+        merged = side_rel(
+            flight_df, ts(("airport",)), [MergeGroup((GM("day", "arr_delay", agg), week))], week
         )
-        direct = aggregate_trendset(
-            flight_df, ts(("airport",)), single_groups((GM("week", "arr_delay", agg),))
-        )
+        direct = side_rel(flight_df, ts(("airport",)), single_groups((week,)), week)
         key = ["airport", G_COL]
-        a = merged[GM("week", "arr_delay", agg)].toPandas().sort_values(key).reset_index(drop=True)
-        b = direct[GM("week", "arr_delay", agg)].toPandas().sort_values(key).reset_index(drop=True)
+        a = merged.toPandas().sort_values(key).reset_index(drop=True)
+        b = direct.toPandas().sort_values(key).reset_index(drop=True)
         assert a[V_COL].round(8).tolist() == b[V_COL].round(8).tolist()
 
     def test_fixed_constraint_filters_rows(self, flight_df):
-        rels = aggregate_trendset(
-            flight_df, ts(("airport", "A0")), single_groups((GM("day", "arr_delay"),))
-        )
-        rel = rels[GM("day", "arr_delay")]
+        gm = GM("day", "arr_delay")
+        rel = side_rel(flight_df, ts(("airport", "A0")), single_groups((gm,)), gm)
         assert rel.columns == [G_COL, V_COL]
         n_days_a0 = flight_df.filter("airport = 'A0'").select("day").distinct().count()
         assert rel.count() == n_days_a0
@@ -130,16 +131,16 @@ class TestAggregation:
 class TestSideSharing:
     def test_identical_trendsets_share_object(self, flight_df):
         spec = CompareSpec(ts(("airport",)), ts(("airport",)), (GM("day", "arr_delay"),))
-        rels = build_side_aggregates(flight_df, spec)
-        assert rels[(1, spec.gms[0])] is rels[(2, spec.gms[0])]
+        (blk,) = build_vector_blocks(flight_df, spec)
+        assert blk.shared and blk.rel1 is blk.rel2
 
     def test_slice_derivation_matches_direct(self, flight_df):
         spec = CompareSpec(ts(("airport", "A0")), ts(("airport",)), (GM("day", "arr_delay"),))
-        shared = build_side_aggregates(flight_df, spec, share_sides=True)
-        direct = build_side_aggregates(flight_df, spec, share_sides=False)
+        (shared,) = build_vector_blocks(flight_df, spec, share_sides=True)
+        (direct,) = build_vector_blocks(flight_df, spec, share_sides=False)
         gm = spec.gms[0]
         key = [G_COL]
-        a = shared[(1, gm)].toPandas().sort_values(key).reset_index(drop=True)
-        b = direct[(1, gm)].toPandas().sort_values(key).reset_index(drop=True)
+        a = shared.project(1, gm).toPandas().sort_values(key).reset_index(drop=True)
+        b = direct.project(1, gm).toPandas().sort_values(key).reset_index(drop=True)
         assert a.columns.tolist() == b.columns.tolist() == [G_COL, V_COL]
         assert a[V_COL].round(8).tolist() == b[V_COL].round(8).tolist()

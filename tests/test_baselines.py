@@ -1,5 +1,7 @@
 """The three §8 baselines must produce the same results as COMPARE:
 verbose-SQL-through-Catalyst, sequential UDF, and middleware client."""
+from types import SimpleNamespace
+
 import pandas as pd
 import pytest
 
@@ -85,17 +87,26 @@ def test_middleware_reports_bytes(request, flight_df):
     assert nbytes > 0
 
 
-def test_middleware_bandwidth_slows_transfer(request, flight_df):
-    import time
+def test_middleware_bandwidth_slows_transfer(monkeypatch, flight_df):
+    """Each fetch requests payload_bytes / bandwidth seconds of simulated
+    transfer; no bandwidth requests none. Sleeps are recorded, not timed."""
+    from repro.baselines import middleware
 
     _, spec = CATALOG["q1"]
-    t0 = time.perf_counter()
-    _, nbytes = compare_middleware(
-        flight_df, spec, bandwidth_mbps=None, return_bytes=True
-    )
-    fast = time.perf_counter() - t0
-    slow_bw = max(0.05, nbytes / 1_000_000 / 2)  # ≥2s of simulated transfer
-    t0 = time.perf_counter()
-    compare_middleware(flight_df, spec, bandwidth_mbps=slow_bw)
-    slow = time.perf_counter() - t0
-    assert slow > fast
+    sleeps, payloads = [], []
+    fetch = middleware._fetch
+
+    def recorded_fetch(rel, bandwidth_mbps):
+        pdf, n = fetch(rel, bandwidth_mbps)
+        payloads.append(n)
+        return pdf, n
+
+    monkeypatch.setattr(middleware, "time", SimpleNamespace(sleep=sleeps.append))
+    monkeypatch.setattr(middleware, "_fetch", recorded_fetch)
+    _, nbytes = compare_middleware(flight_df, spec, bandwidth_mbps=None, return_bytes=True)
+    assert sleeps == [] and len(payloads) == 2 and sum(payloads) == nbytes > 0
+    payloads.clear()
+    bw = 0.5
+    compare_middleware(flight_df, spec, bandwidth_mbps=bw)
+    assert len(payloads) == 2
+    assert sleeps == [n / (bw * 1_000_000) for n in payloads]

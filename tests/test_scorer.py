@@ -79,15 +79,13 @@ class TestScoreNp:
 
 class TestAlign:
     def test_inner_join_on_keys(self):
-        v1, v2 = align(
-            np.array([1, 2, 4]), np.array([10.0, 20.0, 40.0]),
-            np.array([2, 3, 4]), np.array([-2.0, -3.0, -4.0]),
-        )
-        assert v1.tolist() == [20.0, 40.0] and v2.tolist() == [-2.0, -4.0]
+        v1, v2 = np.array([10.0, 20.0, 40.0]), np.array([-2.0, -3.0, -4.0])
+        i1, i2 = align(np.array([1, 2, 4]), np.array([2, 3, 4]))
+        assert v1[i1].tolist() == [20.0, 40.0] and v2[i2].tolist() == [-2.0, -4.0]
 
     def test_disjoint_keys(self):
-        v1, v2 = align(np.array([1]), np.array([1.0]), np.array([2]), np.array([2.0]))
-        assert v1.size == 0 and v2.size == 0
+        i1, i2 = align(np.array([1]), np.array([2]))
+        assert i1.size == 0 and i2.size == 0
 
     def test_string_keys(self):
         s = score_pair(
